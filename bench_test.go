@@ -1,11 +1,17 @@
 package hibernator_test
 
 import (
-	"strconv"
+	"runtime"
 	"testing"
 
+	"hibernator/internal/diskmodel"
+	"hibernator/internal/dist"
 	"hibernator/internal/experiments"
+	"hibernator/internal/policy"
+	"hibernator/internal/raid"
 	"hibernator/internal/report"
+	"hibernator/internal/sim"
+	"hibernator/internal/trace"
 )
 
 // benchScale keeps each experiment benchmark to a few hundred simulated
@@ -62,29 +68,48 @@ func BenchmarkX2(b *testing.B)  { benchExperiment(b, "X2") }
 func BenchmarkX3(b *testing.B)  { benchExperiment(b, "X3") }
 func BenchmarkX4(b *testing.B)  { benchExperiment(b, "X4") }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed: simulated
-// requests per second of wall time on the bake-off geometry, the figure
-// that bounds how long full-scale experiments take.
+// BenchmarkSimulatorThroughput measures raw simulator speed: one
+// sim.Run of the Base scheme on the bake-off geometry (4 RAID-5 groups
+// of 4, 256 MiB write-back cache, 64 MiB extents) under 300 simulated
+// seconds of the diurnal OLTP generator peaking at 100 req/s. It reports
+// simulated requests per wall second and heap allocations and bytes per
+// simulated request — the figures that bound how long full-scale
+// experiments take.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	e, ok := experiments.ByID("T2")
-	if !ok {
-		b.Fatal("T2 missing")
+	const dur = 300.0
+	cfg := sim.Config{
+		Spec: diskmodel.SingleSpeedUltrastar(), Groups: 4, GroupDisks: 4, Level: raid.RAID5,
+		ExtentBytes: 64 << 20, CacheBytes: 256 << 20, RespWindow: 30, Seed: 1, ExpectedRotLatency: true,
+	}
+	vol, err := sim.LogicalBytes(cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	var reqs int
+	var reqs uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(experiments.Opts{Scale: 0.1, Seed: 777_000_000 + int64(i+1)})
+		src, err := trace.NewOLTP(trace.OLTPConfig{
+			Seed: int64(101 + i), VolumeBytes: vol, Duration: dur,
+			Rate: dist.DiurnalRate(20, 100, dur, 0.5), MaxRate: 100,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		reqs = 0
-		for _, row := range tables[0].Rows {
-			n, err := strconv.Atoi(row[1])
-			if err != nil {
-				b.Fatalf("bad request count %q", row[1])
-			}
-			reqs += n
+		res, err := sim.Run(cfg, src, policy.NewBase(), dur)
+		if err != nil {
+			b.Fatal(err)
 		}
+		reqs += res.Requests
 	}
-	b.ReportMetric(float64(reqs), "trace-requests")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if reqs == 0 {
+		b.Fatal("no simulated requests")
+	}
+	b.ReportMetric(float64(reqs)/b.Elapsed().Seconds(), "sim-reqs/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(reqs), "allocs/req")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(reqs), "B/req")
 }

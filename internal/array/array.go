@@ -149,6 +149,11 @@ type Array struct {
 
 	// auditor, if set, receives accounting events (see audit.go).
 	auditor Auditor
+
+	// Free lists of the pooled physical-op and fan-out records (see
+	// retry.go and io.go).
+	freeOps     *physOp
+	freeFanOuts *fanOut
 }
 
 // New builds the array with extents laid out round-robin across groups

@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"slices"
 
 	"hibernator/internal/raid"
 )
@@ -18,22 +19,10 @@ func (a *Array) Submit(off, size int64, write bool, done func(latency float64)) 
 	if a.auditor != nil {
 		a.auditor.LogicalSubmit(start, a.inFlight)
 	}
-	a.fanOut(off, size, write, false, func() {
-		lat := a.engine.Now() - start
-		a.inFlight--
-		a.completed++
-		if a.auditor != nil {
-			a.auditor.LogicalComplete(a.engine.Now(), a.inFlight)
-		}
-		a.resp.Add(lat)
-		a.respPct.Add(lat)
-		if a.onComplete != nil {
-			a.onComplete(lat, write)
-		}
-		if done != nil {
-			done(lat)
-		}
-	})
+	f := a.newFanOut(false, true)
+	f.foreground, f.start, f.write, f.done = true, start, write, done
+	a.mapLogical(f, off, size, write)
+	f.advance()
 }
 
 // SubmitBackground issues a logical request at background disk priority
@@ -43,22 +32,25 @@ func (a *Array) SubmitBackground(off, size int64, write bool, done func()) {
 	if off < 0 || size <= 0 || off+size > a.LogicalBytes() {
 		panic(fmt.Sprintf("array: background request [%d,+%d) outside logical volume", off, size))
 	}
-	a.fanOut(off, size, write, true, func() {
-		if done != nil {
-			done()
-		}
-	})
+	f := a.newFanOut(true, true)
+	f.cb = done
+	a.mapLogical(f, off, size, write)
+	f.advance()
 }
 
-// fanOut splits a logical range into per-extent pieces, maps each through
-// its group's RAID geometry, and drives the two-phase (pre-read, then
-// write) protocol. allDone fires after every physical operation completes.
-func (a *Array) fanOut(off, size int64, write, background bool, allDone func()) {
-	type groupIO struct {
-		group *Group
-		ios   []raid.PhysIO
-	}
-	var reads, writes []groupIO
+// groupIO performs one contiguous I/O in a group's logical space (used by
+// migration), honoring RAID write phases, and calls cb when all physical
+// operations complete.
+func (a *Array) groupIO(g *Group, goff, size int64, write, background bool, cb func()) {
+	f := a.newFanOut(background, false)
+	f.cb = cb
+	f.add(g, goff, size, write)
+	f.advance()
+}
+
+// mapLogical splits a logical range into per-extent pieces and files each
+// piece's physical operations on f.
+func (a *Array) mapLogical(f *fanOut, off, size int64, write bool) {
 	eb := a.cfg.ExtentBytes
 	for size > 0 {
 		e := off / eb
@@ -70,60 +62,154 @@ func (a *Array) fanOut(off, size int64, write, background bool, allDone func()) 
 		loc := a.extentMap[e]
 		a.extentAccesses[e]++
 		g := a.groups[loc.Group]
-		goff := loc.Slot*eb + within
-		r, w := raid.Phases(g.geo.Map(goff, n, write))
-		if len(r) > 0 {
-			reads = append(reads, groupIO{g, r})
-		}
-		if len(w) > 0 {
-			writes = append(writes, groupIO{g, w})
-		}
+		f.add(g, loc.Slot*eb+within, n, write)
 		off += n
 		size -= n
 	}
-	submitPhase := func(phase []groupIO, next func()) {
-		remaining := 0
-		for _, gio := range phase {
-			remaining += len(gio.ios)
-		}
-		if remaining == 0 {
-			next()
-			return
-		}
-		for _, gio := range phase {
-			for _, io := range gio.ios {
-				a.fanoutIOs++
-				a.dispatch(gio.group, io, background, func() {
-					remaining--
-					if remaining == 0 {
-						next()
-					}
-				})
-			}
-		}
-	}
-	submitPhase(reads, func() { submitPhase(writes, allDone) })
 }
 
-// groupIO performs one contiguous I/O in a group's logical space (used by
-// migration), honoring RAID write phases, and calls cb when all physical
-// operations complete.
-func (a *Array) groupIO(g *Group, goff, size int64, write, background bool, cb func()) {
-	reads, writes := raid.Phases(g.geo.Map(goff, size, write))
-	submit := func(ios []raid.PhysIO, next func()) {
-		if len(ios) == 0 {
-			next()
-			return
-		}
-		remaining := len(ios)
-		for _, io := range ios {
-			a.dispatch(g, io, background, func() {
-				remaining--
-				if remaining == 0 {
-					next()
-				}
-			})
-		}
+// fanOut is one access in flight: the physical operations its pieces map
+// to, with every piece's pre-reads filed ahead of every piece's writes,
+// driven through the two-phase (pre-read, then write) protocol. Records
+// are pooled on the Array; physDone is bound once, when the record is
+// created, so dispatching an operation allocates nothing.
+type fanOut struct {
+	a *Array
+
+	ios    []raid.PhysIO
+	groups []*Group // groups[i] owns ios[i]
+	reads  int      // ios[:reads] is the pre-read phase
+
+	writing    bool // the write phase has been dispatched
+	remaining  int  // operations of the current phase still outstanding
+	background bool
+	counted    bool // logical traffic: operations count in fanoutIOs
+
+	// Completion. A foreground Submit records its submission time, kind
+	// and callback; every other access calls cb.
+	foreground bool
+	start      float64
+	write      bool
+	done       func(latency float64)
+	cb         func()
+
+	physDone func()
+	next     *fanOut // free list
+}
+
+// newFanOut takes a record from the pool.
+func (a *Array) newFanOut(background, counted bool) *fanOut {
+	f := a.freeFanOuts
+	if f == nil {
+		f = &fanOut{a: a}
+		f.physDone = f.opDone
+	} else {
+		a.freeFanOuts = f.next
+		f.next = nil
 	}
-	submit(reads, func() { submit(writes, cb) })
+	f.background, f.counted = background, counted
+	return f
+}
+
+// add maps one contiguous access in g's logical space and files its
+// reads behind the reads already filed and its writes at the end.
+func (f *fanOut) add(g *Group, goff, size int64, write bool) {
+	mark := len(f.ios)
+	f.ios = g.geo.AppendMap(f.ios, goff, size, write)
+	for range f.ios[mark:] {
+		f.groups = append(f.groups, g)
+	}
+	r := mark
+	for r < len(f.ios) && !f.ios[r].Write {
+		r++
+	}
+	if r > mark && mark > f.reads {
+		// Rotate the new reads ahead of the writes already filed.
+		rotate(f.ios[f.reads:r], mark-f.reads)
+		rotate(f.groups[f.reads:r], mark-f.reads)
+	}
+	f.reads += r - mark
+}
+
+// rotate moves s[:k] to the end of s, keeping both halves in order.
+func rotate[T any](s []T, k int) {
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
+	slices.Reverse(s)
+}
+
+// advance dispatches the next phase that has operations, or completes the
+// access when none is left. Disk completions always arrive through the
+// engine, never from inside dispatch, so remaining is set for the whole
+// phase before the first operation can finish.
+func (f *fanOut) advance() {
+	lo, hi := 0, f.reads
+	if f.writing || f.reads == 0 {
+		f.writing = true
+		lo, hi = f.reads, len(f.ios)
+	}
+	if lo == hi {
+		f.finish()
+		return
+	}
+	f.remaining = hi - lo
+	for i := lo; i < hi; i++ {
+		if f.counted {
+			f.a.fanoutIOs++
+		}
+		f.a.dispatch(f.groups[i], f.ios[i], f.background, f.physDone)
+	}
+}
+
+// opDone is physDone: one physical operation of the current phase
+// finished.
+func (f *fanOut) opDone() {
+	f.remaining--
+	if f.remaining > 0 {
+		return
+	}
+	if !f.writing {
+		f.writing = true
+		f.advance()
+		return
+	}
+	f.finish()
+}
+
+// finish returns the record to the pool and then runs the completion,
+// which may reuse the record at once: everything it needs is copied out
+// first.
+func (f *fanOut) finish() {
+	a := f.a
+	foreground, start, write, done, cb := f.foreground, f.start, f.write, f.done, f.cb
+	f.ios, f.groups = f.ios[:0], f.groups[:0]
+	f.reads, f.writing, f.remaining = 0, false, 0
+	f.foreground, f.done, f.cb = false, nil, nil
+	f.next = a.freeFanOuts
+	a.freeFanOuts = f
+	if foreground {
+		a.completeLogical(start, write, done)
+		return
+	}
+	if cb != nil {
+		cb()
+	}
+}
+
+// completeLogical accounts one finished foreground request.
+func (a *Array) completeLogical(start float64, write bool, done func(latency float64)) {
+	lat := a.engine.Now() - start
+	a.inFlight--
+	a.completed++
+	if a.auditor != nil {
+		a.auditor.LogicalComplete(a.engine.Now(), a.inFlight)
+	}
+	a.resp.Add(lat)
+	a.respPct.Add(lat)
+	if a.onComplete != nil {
+		a.onComplete(lat, write)
+	}
+	if done != nil {
+		done(lat)
+	}
 }

@@ -81,98 +81,161 @@ type FaultStats struct {
 // FaultStats returns the fault-handling counters.
 func (a *Array) FaultStats() FaultStats { return a.faultStats }
 
-// submitOne issues a single physical op on a specific member disk,
-// applying the retry policy.
-func (a *Array) submitOne(g *Group, disk int, io raid.PhysIO, background bool, onDone func()) {
-	a.submitAttempt(g, disk, io, background, 0, onDone)
+// physOp is one physical op's retry chain: the attempt in flight, its
+// deadline, and the completion to run once the op is served. Records are
+// pooled on the Array. Each embeds the diskmodel.Request it submits, and
+// its disk-completion, deadline and retry callbacks are method values
+// bound once, when the record is created, so an attempt allocates nothing.
+//
+// The disk's Done is the record's last reference: a record goes back to
+// the pool only from diskDone, never when the deadline gives up on an
+// attempt the disk still holds.
+type physOp struct {
+	a          *Array
+	req        diskmodel.Request
+	g          *Group
+	disk       int
+	io         raid.PhysIO
+	background bool
+	attempt    int
+	onDone     func()
+
+	// settled is set by whichever of the completion and the deadline
+	// claims the attempt first; deadline is the pending expiry, if any.
+	settled  bool
+	deadline simevent.Event
+
+	doneFn     func(*diskmodel.Request, float64)
+	deadlineFn func()
+	retryFn    func()
+	next       *physOp // free list
 }
 
-// submitAttempt is one try of a physical op: submit, watch the deadline,
-// and on a transient error either back off and retry or fall back to the
-// group's redundancy. Exactly one of the completion and the deadline
-// settles the attempt; onDone fires exactly once per op chain.
-func (a *Array) submitAttempt(g *Group, disk int, io raid.PhysIO, background bool, attempt int, onDone func()) {
-	pol := &a.cfg.Retry
-	settled := false
-	var deadline simevent.Event
-	settle := func() bool {
-		if settled {
-			return false
-		}
-		settled = true
-		if deadline.Pending() {
-			a.engine.Cancel(deadline)
-		}
-		return true
+// submitOne issues a single physical op on a specific member disk,
+// applying the retry policy. onDone fires exactly once per op chain.
+func (a *Array) submitOne(g *Group, disk int, io raid.PhysIO, background bool, onDone func()) {
+	op := a.freeOps
+	if op == nil {
+		op = &physOp{a: a}
+		op.doneFn, op.deadlineFn, op.retryFn = op.diskDone, op.expire, op.submit
+	} else {
+		a.freeOps = op.next
+		op.next = nil
 	}
-	g.disks[disk].Submit(&diskmodel.Request{
-		LBA:        io.Offset,
-		Size:       io.Size,
-		Write:      io.Write,
-		Background: background,
-		Done: func(r *diskmodel.Request, _ float64) {
-			if !settle() {
-				return // the deadline already gave up on this attempt
-			}
-			if r.Failed {
-				// The disk died underneath us. With the policy armed the
-				// op is re-served through redundancy; without it the
-				// legacy behavior stands (completion counted, data loss
-				// accounted by the caller's level).
-				if pol.enabled() {
-					a.redirect(g, disk, io, background, onDone)
-				} else {
-					onDone()
-				}
-				return
-			}
-			if r.Errored {
-				a.faultStats.OpErrors++
-				a.noteError(g, disk)
-				if attempt < pol.MaxRetries {
-					a.faultStats.Retries++
-					a.cfg.Trace.Event(a.engine.Now(), obs.KindRetry,
-						g.id, g.disks[disk].ID(), attempt, attempt+1, "transient error")
-					a.engine.Schedule(pol.delay(attempt), func() {
-						a.submitAttempt(g, disk, io, background, attempt+1, onDone)
-					})
-					return
-				}
-				a.faultStats.Fallbacks++
-				a.cfg.Trace.Event(a.engine.Now(), obs.KindFallback,
-					g.id, g.disks[disk].ID(), attempt, -1, "retries exhausted")
-				a.redirect(g, disk, io, background, onDone)
-				return
-			}
-			onDone()
-		},
-	})
-	if pol.OpDeadline > 0 {
-		deadline = a.engine.Schedule(pol.OpDeadline, func() {
-			// A timeout only helps when the redundancy it falls back on
-			// is actually better off than the disk the op is stuck on;
-			// otherwise let the op run to completion.
-			if !a.redirectHelps(g, disk) {
-				return
-			}
-			if !settle() {
-				return
-			}
-			// The attempt is abandoned: whatever the disk eventually does
-			// with it is ignored (the disk time is still spent — that is
-			// the cost of a fail-slow drive). Serve through redundancy.
-			// Deliberately NOT fed to the error tracker: a blown deadline
-			// measures queue congestion — a commanded speed shift, a
-			// post-shift drain, a rebuild hammering the survivors — not
-			// disk health, and charging it would evict healthy drives for
-			// the policy's own stalls. Only transient errors count.
-			a.faultStats.Timeouts++
-			a.faultStats.Fallbacks++
-			a.cfg.Trace.Event(a.engine.Now(), obs.KindTimeout,
-				g.id, g.disks[disk].ID(), attempt, -1, "op deadline; served via redundancy")
+	op.g, op.disk, op.io, op.background, op.attempt, op.onDone = g, disk, io, background, 0, onDone
+	op.submit()
+}
+
+// release returns the record to the pool. Callers copy out whatever they
+// still need first: the record may be reused by the next submitOne.
+func (op *physOp) release() {
+	a := op.a
+	op.g, op.onDone = nil, nil
+	op.next = a.freeOps
+	a.freeOps = op
+}
+
+// submit is one try of the op: submit, and watch the deadline.
+func (op *physOp) submit() {
+	a := op.a
+	op.settled = false
+	op.deadline = simevent.Event{}
+	op.req = diskmodel.Request{
+		LBA:        op.io.Offset,
+		Size:       op.io.Size,
+		Write:      op.io.Write,
+		Background: op.background,
+		Done:       op.doneFn,
+	}
+	op.g.disks[op.disk].Submit(&op.req)
+	if d := a.cfg.Retry.OpDeadline; d > 0 {
+		op.deadline = a.engine.Schedule(d, op.deadlineFn)
+	}
+}
+
+// settle claims the attempt for the caller; false means the other of the
+// completion and the deadline already did.
+func (op *physOp) settle() bool {
+	if op.settled {
+		return false
+	}
+	op.settled = true
+	if op.deadline.Pending() {
+		op.a.engine.Cancel(op.deadline)
+	}
+	return true
+}
+
+// diskDone is the attempt's disk completion. On a transient error it
+// either backs off and retries (keeping the record) or falls back to the
+// group's redundancy.
+func (op *physOp) diskDone(r *diskmodel.Request, _ float64) {
+	a, pol := op.a, &op.a.cfg.Retry
+	if !op.settle() {
+		op.release() // the deadline already gave up on this attempt
+		return
+	}
+	g, disk, io, background, attempt, onDone := op.g, op.disk, op.io, op.background, op.attempt, op.onDone
+	if r.Failed {
+		op.release()
+		// The disk died underneath us. With the policy armed the op is
+		// re-served through redundancy; without it the legacy behavior
+		// stands (completion counted, data loss accounted by the
+		// caller's level).
+		if pol.enabled() {
 			a.redirect(g, disk, io, background, onDone)
-		})
+		} else {
+			onDone()
+		}
+		return
 	}
+	if r.Errored {
+		a.faultStats.OpErrors++
+		a.noteError(g, disk)
+		if attempt < pol.MaxRetries {
+			a.faultStats.Retries++
+			a.cfg.Trace.Event(a.engine.Now(), obs.KindRetry,
+				g.id, g.disks[disk].ID(), attempt, attempt+1, "transient error")
+			op.attempt++
+			a.engine.Schedule(pol.delay(attempt), op.retryFn)
+			return
+		}
+		op.release()
+		a.faultStats.Fallbacks++
+		a.cfg.Trace.Event(a.engine.Now(), obs.KindFallback,
+			g.id, g.disks[disk].ID(), attempt, -1, "retries exhausted")
+		a.redirect(g, disk, io, background, onDone)
+		return
+	}
+	op.release()
+	onDone()
+}
+
+// expire is the attempt's deadline.
+func (op *physOp) expire() {
+	a, g, disk := op.a, op.g, op.disk
+	// A timeout only helps when the redundancy it falls back on is
+	// actually better off than the disk the op is stuck on; otherwise let
+	// the op run to completion.
+	if !a.redirectHelps(g, disk) {
+		return
+	}
+	if !op.settle() {
+		return
+	}
+	// The attempt is abandoned: whatever the disk eventually does with it
+	// is ignored (the disk time is still spent — that is the cost of a
+	// fail-slow drive), and its completion releases the record. Serve
+	// through redundancy. Deliberately NOT fed to the error tracker: a
+	// blown deadline measures queue congestion — a commanded speed shift,
+	// a post-shift drain, a rebuild hammering the survivors — not disk
+	// health, and charging it would evict healthy drives for the policy's
+	// own stalls. Only transient errors count.
+	a.faultStats.Timeouts++
+	a.faultStats.Fallbacks++
+	a.cfg.Trace.Event(a.engine.Now(), obs.KindTimeout,
+		g.id, g.disks[disk].ID(), op.attempt, -1, "op deadline; served via redundancy")
+	a.redirect(g, disk, op.io, op.background, op.onDone)
 }
 
 // redirectHelps decides whether abandoning a stuck attempt in favor of

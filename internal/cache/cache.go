@@ -8,10 +8,7 @@
 // the caller which byte ranges must move.
 package cache
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Range is a contiguous logical byte range.
 type Range struct {
@@ -21,16 +18,27 @@ type Range struct {
 
 // Cache is a block LRU. Not safe for concurrent use; the simulator is
 // single-threaded.
+//
+// Every resident block is one node threaded on two intrusive lists: the
+// LRU list, and while the block is dirty the destage queue. Evicted
+// nodes are reused and the returned range slices are scratch owned by
+// the cache, so in steady state a lookup allocates nothing.
 type Cache struct {
 	blockSize int64
 	capacity  int // in blocks
 
-	lru     *list.List // front = most recent
-	entries map[int64]*list.Element
+	entries  map[int64]*node
+	lru      node // sentinel: lru.next is the most recent block
+	dirtyq   node // sentinel: dirtyq.dnext is the oldest dirty block
+	resident int
+	dirtyN   int
+	free     *node // evicted nodes awaiting reuse, chained through next
 
-	dirty      map[int64]bool
-	dirtyOrder *list.List // front = oldest dirty, for destage
-	dirtyElem  map[int64]*list.Element
+	// Scratch behind the returned slices: valid until the next call.
+	blocks  []int64
+	victims []int64
+	missOut []Range
+	evicted []Range
 
 	hits       uint64
 	misses     uint64
@@ -45,9 +53,12 @@ type Cache struct {
 	writeLookups uint64
 }
 
-type entry struct {
-	block int64
-	dirty bool
+// node is one resident block.
+type node struct {
+	block        int64
+	dirty        bool
+	prev, next   *node // LRU list, most recent first
+	dprev, dnext *node // destage queue, oldest first
 }
 
 // New creates a cache of capacityBytes split into blockSize blocks. A zero
@@ -61,25 +72,20 @@ func New(capacityBytes, blockSize int64) *Cache {
 	if capBlocks < 0 {
 		capBlocks = 0
 	}
-	return &Cache{
-		blockSize:  blockSize,
-		capacity:   capBlocks,
-		lru:        list.New(),
-		entries:    map[int64]*list.Element{},
-		dirty:      map[int64]bool{},
-		dirtyOrder: list.New(),
-		dirtyElem:  map[int64]*list.Element{},
-	}
+	c := &Cache{blockSize: blockSize, capacity: capBlocks, entries: map[int64]*node{}}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.dirtyq.dprev, c.dirtyq.dnext = &c.dirtyq, &c.dirtyq
+	return c
 }
 
 // BlockSize returns the cache block size in bytes.
 func (c *Cache) BlockSize() int64 { return c.blockSize }
 
 // Len returns the number of resident blocks.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return c.resident }
 
 // DirtyLen returns the number of dirty resident blocks.
-func (c *Cache) DirtyLen() int { return c.dirtyOrder.Len() }
+func (c *Cache) DirtyLen() int { return c.dirtyN }
 
 // Stats returns lifetime hit/miss/destage counters. Hits and misses count
 // blocks, not requests.
@@ -111,113 +117,139 @@ func (c *Cache) blocksOf(off, size int64) (first, last int64) {
 // Read looks up a logical range. It returns the byte ranges that missed
 // (coalesced, block-aligned) and any dirty blocks evicted while inserting
 // the missed blocks. The caller must read the misses from the array and
-// write back the evictions.
+// write back the evictions. Both slices are valid until the next call on
+// the cache.
 func (c *Cache) Read(off, size int64) (misses, evictions []Range) {
 	if c.capacity == 0 {
 		return []Range{{Off: off, Size: size}}, nil
 	}
 	first, last := c.blocksOf(off, size)
-	var missBlocks []int64
+	c.blocks = c.blocks[:0]
 	for b := first; b <= last; b++ {
 		c.readLookups++
-		if el, ok := c.entries[b]; ok {
+		if n, ok := c.entries[b]; ok {
 			c.hits++
-			c.lru.MoveToFront(el)
+			c.touch(n)
 			continue
 		}
 		c.misses++
-		missBlocks = append(missBlocks, b)
+		c.blocks = append(c.blocks, b)
 	}
-	for _, b := range missBlocks {
-		evictions = append(evictions, c.insert(b, false)...)
+	c.evicted = c.evicted[:0]
+	for _, b := range c.blocks {
+		c.insert(b, false)
 	}
-	return coalesce(missBlocks, c.blockSize), evictions
+	c.missOut = coalesce(c.missOut[:0], c.blocks, c.blockSize)
+	return c.missOut, c.evicted
 }
 
 // Write absorbs a logical write, marking the covered blocks dirty, and
 // returns any dirty blocks evicted to make room. Partially covered blocks
 // are treated as allocate-on-write (no fetch-before-write; the simulated
-// destage rewrites whole blocks, a standard simplification).
+// destage rewrites whole blocks, a standard simplification). The slice is
+// valid until the next call on the cache.
 func (c *Cache) Write(off, size int64) (evictions []Range) {
 	if c.capacity == 0 {
 		return []Range{{Off: off, Size: size}}
 	}
 	first, last := c.blocksOf(off, size)
+	c.evicted = c.evicted[:0]
 	for b := first; b <= last; b++ {
 		c.writeLookups++
-		if el, ok := c.entries[b]; ok {
+		if n, ok := c.entries[b]; ok {
 			c.writeHits++
-			c.lru.MoveToFront(el)
-			c.markDirty(el.Value.(*entry))
+			c.touch(n)
+			c.markDirty(n)
 			continue
 		}
 		c.writeAlloc++
-		evictions = append(evictions, c.insert(b, true)...)
+		c.insert(b, true)
 	}
-	return evictions
+	return c.evicted
 }
 
-// insert adds a block (evicting as needed) and returns destage ranges for
-// evicted dirty blocks.
-func (c *Cache) insert(block int64, dirty bool) []Range {
-	var destage []int64
-	for c.lru.Len() >= c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*entry)
-		c.lru.Remove(back)
+// insert adds a block, evicting least-recently-used blocks as needed, and
+// appends the destage ranges of the evicted dirty blocks to c.evicted.
+func (c *Cache) insert(block int64, dirty bool) {
+	c.victims = c.victims[:0]
+	for c.resident >= c.capacity && c.lru.prev != &c.lru {
+		ev := c.lru.prev
+		c.unlink(ev)
 		delete(c.entries, ev.block)
+		c.resident--
 		if ev.dirty {
 			c.destages++
-			destage = append(destage, ev.block)
-			c.unmarkDirty(ev.block)
+			c.victims = append(c.victims, ev.block)
+			c.unmarkDirty(ev)
 		}
+		ev.next = c.free
+		c.free = ev
 	}
-	e := &entry{block: block, dirty: false}
-	c.entries[block] = c.lru.PushFront(e)
+	n := c.free
+	if n == nil {
+		n = &node{}
+	} else {
+		c.free = n.next
+	}
+	*n = node{block: block}
+	c.entries[block] = n
+	c.pushFront(n)
+	c.resident++
 	if dirty {
-		c.markDirty(e)
+		c.markDirty(n)
 	}
-	return coalesce(destage, c.blockSize)
+	c.evicted = coalesce(c.evicted, c.victims, c.blockSize)
 }
 
-func (c *Cache) markDirty(e *entry) {
-	if e.dirty {
+func (c *Cache) pushFront(n *node) {
+	n.prev, n.next = &c.lru, c.lru.next
+	c.lru.next.prev = n
+	c.lru.next = n
+}
+
+func (c *Cache) unlink(n *node) {
+	n.prev.next = n.next
+	n.next.prev = n.prev
+}
+
+// touch makes n the most recently used block.
+func (c *Cache) touch(n *node) {
+	c.unlink(n)
+	c.pushFront(n)
+}
+
+func (c *Cache) markDirty(n *node) {
+	if n.dirty {
 		return
 	}
-	e.dirty = true
-	c.dirty[e.block] = true
-	c.dirtyElem[e.block] = c.dirtyOrder.PushBack(e.block)
+	n.dirty = true
+	n.dprev, n.dnext = c.dirtyq.dprev, &c.dirtyq
+	c.dirtyq.dprev.dnext = n
+	c.dirtyq.dprev = n
+	c.dirtyN++
 }
 
-func (c *Cache) unmarkDirty(block int64) {
-	if el, ok := c.dirtyElem[block]; ok {
-		c.dirtyOrder.Remove(el)
-		delete(c.dirtyElem, block)
-	}
-	delete(c.dirty, block)
+func (c *Cache) unmarkDirty(n *node) {
+	n.dirty = false
+	n.dprev.dnext = n.dnext
+	n.dnext.dprev = n.dprev
+	n.dprev, n.dnext = nil, nil
+	c.dirtyN--
 }
 
 // FlushOldest cleans up to max dirty blocks (oldest first) and returns the
-// ranges to write out. The blocks stay resident, now clean.
+// ranges to write out. The blocks stay resident, now clean. The slice is
+// valid until the next call on the cache.
 func (c *Cache) FlushOldest(max int) []Range {
-	var blocks []int64
-	for i := 0; i < max; i++ {
-		front := c.dirtyOrder.Front()
-		if front == nil {
-			break
-		}
-		b := front.Value.(int64)
-		if el, ok := c.entries[b]; ok {
-			el.Value.(*entry).dirty = false
-		}
-		c.unmarkDirty(b)
+	c.victims = c.victims[:0]
+	for i := 0; i < max && c.dirtyq.dnext != &c.dirtyq; i++ {
+		n := c.dirtyq.dnext
+		c.unmarkDirty(n)
 		c.destages++
-		blocks = append(blocks, b)
+		c.victims = append(c.victims, n.block)
 	}
-	return coalesce(blocks, c.blockSize)
+	c.evicted = coalesce(c.evicted[:0], c.victims, c.blockSize)
+	return c.evicted
 }
 
 // Fingerprint digests the cache's full structural state — the resident
@@ -236,16 +268,15 @@ func (c *Cache) Fingerprint() uint64 {
 	}
 	h := mix(14695981039346656037, uint64(c.blockSize))
 	h = mix(h, uint64(c.capacity))
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		v := uint64(e.block) << 1
-		if e.dirty {
+	for n := c.lru.next; n != &c.lru; n = n.next {
+		v := uint64(n.block) << 1
+		if n.dirty {
 			v |= 1
 		}
 		h = mix(h, v)
 	}
-	for el := c.dirtyOrder.Front(); el != nil; el = el.Next() {
-		h = mix(h, uint64(el.Value.(int64)))
+	for n := c.dirtyq.dnext; n != &c.dirtyq; n = n.dnext {
+		h = mix(h, uint64(n.block))
 	}
 	return h
 }
@@ -256,22 +287,20 @@ func (c *Cache) Contains(off int64) bool {
 	return ok
 }
 
-// coalesce turns sorted-ish block lists into merged byte ranges. Blocks
-// may arrive unsorted; adjacent blocks merge.
-func coalesce(blocks []int64, blockSize int64) []Range {
+// coalesce appends the byte ranges of a block list to dst, merging
+// adjacent blocks. Blocks may arrive unsorted; they are sorted in place.
+func coalesce(dst []Range, blocks []int64, blockSize int64) []Range {
 	if len(blocks) == 0 {
-		return nil
+		return dst
 	}
-	sorted := append([]int64(nil), blocks...)
 	// Insertion sort: lists are tiny and mostly sorted.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+	for i := 1; i < len(blocks); i++ {
+		for j := i; j > 0 && blocks[j] < blocks[j-1]; j-- {
+			blocks[j], blocks[j-1] = blocks[j-1], blocks[j]
 		}
 	}
-	var out []Range
-	start, prev := sorted[0], sorted[0]
-	for _, b := range sorted[1:] {
+	start, prev := blocks[0], blocks[0]
+	for _, b := range blocks[1:] {
 		if b == prev { // duplicate
 			continue
 		}
@@ -279,9 +308,8 @@ func coalesce(blocks []int64, blockSize int64) []Range {
 			prev = b
 			continue
 		}
-		out = append(out, Range{Off: start * blockSize, Size: (prev - start + 1) * blockSize})
+		dst = append(dst, Range{Off: start * blockSize, Size: (prev - start + 1) * blockSize})
 		start, prev = b, b
 	}
-	out = append(out, Range{Off: start * blockSize, Size: (prev - start + 1) * blockSize})
-	return out
+	return append(dst, Range{Off: start * blockSize, Size: (prev - start + 1) * blockSize})
 }

@@ -135,6 +135,11 @@ type Disk struct {
 	current  *Request
 	inflight simevent.Event
 	headLBA  int64
+	// svc is the in-flight request's service time; completeFn, bound once
+	// in New, completes current with it, so dispatching a request
+	// schedules no per-request closure.
+	svc        float64
+	completeFn func()
 
 	idleSince float64
 	account   *stats.StateAccount
@@ -235,6 +240,7 @@ func New(engine *simevent.Engine, spec *Spec, cfg Config) *Disk {
 		idleSince:   engine.Now(),
 	}
 	d.account = stats.NewStateAccount(engine.Now(), Idle.String(), spec.IdlePower[d.level])
+	d.completeFn = d.completeCurrent
 	return d
 }
 
@@ -521,12 +527,16 @@ func (d *Disk) startNext() {
 	r.Start = now
 	d.current = r
 	svc, pos, seq := d.serviceTime(r)
-	d.curPos, d.curSeq = pos, seq
+	d.svc, d.curPos, d.curSeq = svc, pos, seq
 	d.setState(Busy, d.spec.ActivePower[d.level])
-	d.inflight = d.engine.At(now+svc, func() { d.complete(r, svc) })
+	d.inflight = d.engine.At(now+svc, d.completeFn)
 }
 
-func (d *Disk) complete(r *Request, svc float64) {
+// completeCurrent finishes the in-flight request. The request's Done is
+// the disk's last reference to it: the disk forgets the request before
+// calling Done, so the owner may reuse it from inside the callback.
+func (d *Disk) completeCurrent() {
+	r, svc := d.current, d.svc
 	now := d.now()
 	d.current = nil
 	d.inflight = simevent.Event{}

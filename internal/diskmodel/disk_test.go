@@ -374,3 +374,27 @@ func TestUtilizationCounters(t *testing.T) {
 		t.Errorf("MaxQueueDepth = %d", d.MaxQueueDepth())
 	}
 }
+
+// A request whose owner reuses it — the array's pooled op records do —
+// costs the disk no allocation: submitting, serving and completing it
+// schedules a completion bound once per disk, not a closure per request.
+func TestSubmitAndCompleteAllocateNothing(t *testing.T) {
+	e, d, _ := testDisk(t, 1)
+	completions := 0
+	var req Request
+	done := func(*Request, float64) { completions++ }
+	lba := int64(0)
+	cycle := func() {
+		lba = (lba + 1<<20) % (1 << 30)
+		req = Request{LBA: lba, Size: 8192, Write: lba%3 == 0, Done: done}
+		d.Submit(&req)
+		e.RunAll()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("%v allocs per submit+complete, want 0", allocs)
+	}
+	if completions != 202 {
+		t.Fatalf("%d completions, want 202", completions)
+	}
+}

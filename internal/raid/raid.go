@@ -9,10 +9,7 @@
 // writes); writes covering a full stripe row skip the pre-reads.
 package raid
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Level selects the redundancy scheme of a group.
 type Level int
@@ -151,172 +148,125 @@ func (g Geometry) stripLocation(s int64) (disk int, row int64) {
 // mirrorOf returns the other side of a RAID1 pair.
 func (g Geometry) mirrorOf(disk int) int { return disk ^ 1 }
 
-// piece is a fragment of the logical access within one strip.
-type piece struct {
-	strip  int64 // logical strip index
-	within int64 // offset inside the strip
-	size   int64
+// Map translates a logical byte access into the physical operations it
+// requires; it is AppendMap into a fresh slice.
+func (g Geometry) Map(off, size int64, write bool) []PhysIO {
+	return g.AppendMap(nil, off, size, write)
 }
 
-func (g Geometry) split(off, size int64) []piece {
+// AppendMap appends the physical operations a logical byte access
+// requires to dst and returns the extended slice; dst's existing entries
+// are left untouched and never merged with. Reads touch only data strips;
+// RAID5 writes additionally touch parity. The appended operations are
+// ordered: all reads first, then all writes, since read-modify-write must
+// complete its pre-reads before committing — the array layer preserves
+// this two-phase structure. With enough capacity in dst it allocates
+// nothing.
+func (g Geometry) AppendMap(dst []PhysIO, off, size int64, write bool) []PhysIO {
 	if off < 0 || size <= 0 {
 		panic(fmt.Sprintf("raid: invalid access [%d,+%d)", off, size))
 	}
-	var out []piece
-	for size > 0 {
-		strip := off / g.StripeUnit
-		within := off % g.StripeUnit
-		n := g.StripeUnit - within
-		if n > size {
-			n = size
+	if write && g.Level == RAID5 {
+		return g.appendRAID5Write(dst, off, size)
+	}
+	kind := DataRead
+	if write {
+		kind = DataWrite
+	}
+	base := len(dst)
+	for end := off + size; off < end; {
+		strip, within, n := g.piece(off, end)
+		disk, row := g.stripLocation(strip)
+		io := PhysIO{Disk: disk, Offset: row*g.StripeUnit + within, Size: n, Write: write, Kind: kind}
+		dst = appendCoalesced(dst, base, io)
+		if write && g.Level == RAID1 {
+			io.Disk = g.mirrorOf(disk)
+			dst = appendCoalesced(dst, base, io)
 		}
-		out = append(out, piece{strip: strip, within: within, size: n})
 		off += n
-		size -= n
 	}
-	return out
+	return dst
 }
 
-// Map translates a logical byte access into the physical operations it
-// requires. Reads touch only data strips; RAID5 writes additionally touch
-// parity. The result is ordered: all reads first, then all writes, since
-// read-modify-write must complete its pre-reads before committing — the
-// array layer preserves this two-phase structure.
-func (g Geometry) Map(off, size int64, write bool) []PhysIO {
-	pieces := g.split(off, size)
-	if !write {
-		out := make([]PhysIO, 0, len(pieces))
-		for _, p := range pieces {
-			disk, row := g.stripLocation(p.strip)
-			out = append(out, PhysIO{
-				Disk:   disk,
-				Offset: row*g.StripeUnit + p.within,
-				Size:   p.size,
-				Kind:   DataRead,
-			})
-		}
-		return coalescePhys(out)
+// piece returns the fragment of the access [off,end) that lies in the
+// strip holding off: the strip index, the offset inside it and the size.
+func (g Geometry) piece(off, end int64) (strip, within, n int64) {
+	strip = off / g.StripeUnit
+	within = off % g.StripeUnit
+	n = g.StripeUnit - within
+	if n > end-off {
+		n = end - off
 	}
-	if g.Level == RAID0 {
-		out := make([]PhysIO, 0, len(pieces))
-		for _, p := range pieces {
-			disk, row := g.stripLocation(p.strip)
-			out = append(out, PhysIO{
-				Disk:   disk,
-				Offset: row*g.StripeUnit + p.within,
-				Size:   p.size,
-				Write:  true,
-				Kind:   DataWrite,
-			})
-		}
-		return coalescePhys(out)
-	}
-	if g.Level == RAID1 {
-		out := make([]PhysIO, 0, 2*len(pieces))
-		for _, p := range pieces {
-			disk, row := g.stripLocation(p.strip)
-			phys := row*g.StripeUnit + p.within
-			out = append(out,
-				PhysIO{Disk: disk, Offset: phys, Size: p.size, Write: true, Kind: DataWrite},
-				PhysIO{Disk: g.mirrorOf(disk), Offset: phys, Size: p.size, Write: true, Kind: DataWrite},
-			)
-		}
-		return coalescePhys(out)
-	}
-	return g.mapRAID5Write(pieces)
+	return strip, within, n
 }
 
-// coalescePhys merges physically contiguous operations on the same disk
-// with the same kind — a long sequential logical run lands as one streamed
-// transfer per disk instead of a strip-sized I/O per row. The input is
-// ordered by logical address, so per-disk operations arrive in ascending
-// physical order already; a single stable pass suffices and preserves the
-// read-before-write phase structure.
-func coalescePhys(ios []PhysIO) []PhysIO {
-	if len(ios) < 2 {
-		return ios
-	}
-	out := ios[:0]
-	last := map[int]int{} // disk -> index in out of its latest op
-	for _, io := range ios {
-		if li, ok := last[io.Disk]; ok {
-			prev := &out[li]
-			if prev.Kind == io.Kind && prev.Offset+prev.Size == io.Offset {
-				prev.Size += io.Size
-				continue
-			}
+// appendCoalesced appends io to ops, merging it into the latest operation
+// on the same disk when that one has the same kind and ends where io
+// starts — a long sequential logical run lands as one streamed transfer
+// per disk instead of a strip-sized I/O per row. Operations arrive in
+// logical order, so per-disk operations come in ascending physical order
+// and one stable pass suffices. Only ops[base:] is searched; the latest
+// op of a disk is at most one entry per group member back.
+func appendCoalesced(ops []PhysIO, base int, io PhysIO) []PhysIO {
+	for i := len(ops) - 1; i >= base; i-- {
+		prev := &ops[i]
+		if prev.Disk != io.Disk {
+			continue
 		}
-		out = append(out, io)
-		last[io.Disk] = len(out) - 1
+		if prev.Kind == io.Kind && prev.Offset+prev.Size == io.Offset {
+			prev.Size += io.Size
+			return ops
+		}
+		break
 	}
-	return out
+	return append(ops, io)
 }
 
-// rowAccess accumulates the pieces of one stripe row.
-type rowAccess struct {
-	row    int64
-	pieces []piece
-	bytes  int64
-	// union of within-strip ranges, for sizing the parity I/O
-	lo, hi int64
-}
-
-func (g Geometry) mapRAID5Write(pieces []piece) []PhysIO {
-	rows := map[int64]*rowAccess{}
-	var order []int64
+// appendRAID5Write emits a RAID5 write row by row: pieces arrive in strip
+// order, so each stripe row's pieces are consecutive. A row the access
+// covers entirely is a full-stripe write (new data plus new parity); any
+// other row is read-modify-write (old data and old parity reads, then new
+// data and new parity writes). The parity I/O spans the union of the
+// row's within-strip ranges. Reads are emitted in a first pass and writes
+// in a second, each coalesced on its own.
+func (g Geometry) appendRAID5Write(dst []PhysIO, off, size int64) []PhysIO {
 	dd := int64(g.dataDisks())
-	for _, p := range pieces {
-		row := p.strip / dd
-		ra := rows[row]
-		if ra == nil {
-			ra = &rowAccess{row: row, lo: p.within, hi: p.within + p.size}
-			rows[row] = ra
-			order = append(order, row)
+	rowBytes := dd * g.StripeUnit
+	end := off + size
+	for _, write := range [2]bool{false, true} {
+		base := len(dst)
+		dataKind, parityKind := DataRead, ParityRead
+		if write {
+			dataKind, parityKind = DataWrite, ParityWrite
 		}
-		ra.pieces = append(ra.pieces, p)
-		ra.bytes += p.size
-		if p.within < ra.lo {
-			ra.lo = p.within
-		}
-		if p.within+p.size > ra.hi {
-			ra.hi = p.within + p.size
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	var reads, writes []PhysIO
-	for _, rowIdx := range order {
-		ra := rows[rowIdx]
-		pd := g.parityDisk(ra.row)
-		fullStripe := ra.bytes == dd*g.StripeUnit
-		for _, p := range ra.pieces {
-			disk, row := g.stripLocation(p.strip)
-			phys := row*g.StripeUnit + p.within
-			if !fullStripe {
-				reads = append(reads, PhysIO{Disk: disk, Offset: phys, Size: p.size, Kind: DataRead})
+		for rowOff := off; rowOff < end; {
+			row := rowOff / rowBytes
+			rowEnd := (row + 1) * rowBytes
+			if rowEnd > end {
+				rowEnd = end
 			}
-			writes = append(writes, PhysIO{Disk: disk, Offset: phys, Size: p.size, Write: true, Kind: DataWrite})
+			full := rowEnd-rowOff == rowBytes
+			if full && !write {
+				rowOff = rowEnd
+				continue // a full-stripe write skips the pre-reads
+			}
+			// Union of the row's within-strip ranges: a single piece
+			// spans its own range, several span a whole strip.
+			lo, hi := int64(0), g.StripeUnit
+			for o := rowOff; o < rowEnd; {
+				strip, within, n := g.piece(o, rowEnd)
+				if o == rowOff && n == rowEnd-rowOff {
+					lo, hi = within, within+n
+				}
+				disk, r := g.stripLocation(strip)
+				dst = appendCoalesced(dst, base, PhysIO{Disk: disk, Offset: r*g.StripeUnit + within, Size: n, Write: write, Kind: dataKind})
+				o += n
+			}
+			dst = appendCoalesced(dst, base, PhysIO{
+				Disk: g.parityDisk(row), Offset: row*g.StripeUnit + lo, Size: hi - lo, Write: write, Kind: parityKind,
+			})
+			rowOff = rowEnd
 		}
-		parityOff := ra.row*g.StripeUnit + ra.lo
-		paritySize := ra.hi - ra.lo
-		if fullStripe {
-			parityOff = ra.row * g.StripeUnit
-			paritySize = g.StripeUnit
-		} else {
-			reads = append(reads, PhysIO{Disk: pd, Offset: parityOff, Size: paritySize, Kind: ParityRead})
-		}
-		writes = append(writes, PhysIO{Disk: pd, Offset: parityOff, Size: paritySize, Write: true, Kind: ParityWrite})
 	}
-	return append(coalescePhys(reads), coalescePhys(writes)...)
-}
-
-// Phases splits a Map result into its pre-read and write phases. The
-// second phase must not start before the first completes.
-func Phases(ios []PhysIO) (reads, writes []PhysIO) {
-	for i, io := range ios {
-		if io.Write {
-			return ios[:i], ios[i:]
-		}
-	}
-	return ios, nil
+	return dst
 }

@@ -3,9 +3,237 @@ package raid
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// The reference mapper below is the original, allocation-heavy
+// formulation of Map: split the access into strip pieces, group RAID5
+// write pieces by stripe row through a map, sort the rows, and coalesce
+// with a per-disk index map. AppendMap must agree with it exactly.
+
+// piece is a fragment of the logical access within one strip.
+type piece struct {
+	strip  int64 // logical strip index
+	within int64 // offset inside the strip
+	size   int64
+}
+
+func (g Geometry) split(off, size int64) []piece {
+	var out []piece
+	for size > 0 {
+		strip := off / g.StripeUnit
+		within := off % g.StripeUnit
+		n := g.StripeUnit - within
+		if n > size {
+			n = size
+		}
+		out = append(out, piece{strip: strip, within: within, size: n})
+		off += n
+		size -= n
+	}
+	return out
+}
+
+func (g Geometry) refMap(off, size int64, write bool) []PhysIO {
+	pieces := g.split(off, size)
+	if write && g.Level == RAID5 {
+		return g.mapRAID5Write(pieces)
+	}
+	kind := DataRead
+	if write {
+		kind = DataWrite
+	}
+	var out []PhysIO
+	for _, p := range pieces {
+		disk, row := g.stripLocation(p.strip)
+		phys := row*g.StripeUnit + p.within
+		out = append(out, PhysIO{Disk: disk, Offset: phys, Size: p.size, Write: write, Kind: kind})
+		if write && g.Level == RAID1 {
+			out = append(out, PhysIO{Disk: g.mirrorOf(disk), Offset: phys, Size: p.size, Write: true, Kind: DataWrite})
+		}
+	}
+	return coalescePhys(out)
+}
+
+func coalescePhys(ios []PhysIO) []PhysIO {
+	if len(ios) < 2 {
+		return ios
+	}
+	out := ios[:0]
+	last := map[int]int{} // disk -> index in out of its latest op
+	for _, io := range ios {
+		if li, ok := last[io.Disk]; ok {
+			prev := &out[li]
+			if prev.Kind == io.Kind && prev.Offset+prev.Size == io.Offset {
+				prev.Size += io.Size
+				continue
+			}
+		}
+		out = append(out, io)
+		last[io.Disk] = len(out) - 1
+	}
+	return out
+}
+
+// rowAccess accumulates the pieces of one stripe row.
+type rowAccess struct {
+	row    int64
+	pieces []piece
+	bytes  int64
+	lo, hi int64 // union of within-strip ranges, for sizing the parity I/O
+}
+
+func (g Geometry) mapRAID5Write(pieces []piece) []PhysIO {
+	rows := map[int64]*rowAccess{}
+	var order []int64
+	dd := int64(g.dataDisks())
+	for _, p := range pieces {
+		row := p.strip / dd
+		ra := rows[row]
+		if ra == nil {
+			ra = &rowAccess{row: row, lo: p.within, hi: p.within + p.size}
+			rows[row] = ra
+			order = append(order, row)
+		}
+		ra.pieces = append(ra.pieces, p)
+		ra.bytes += p.size
+		if p.within < ra.lo {
+			ra.lo = p.within
+		}
+		if p.within+p.size > ra.hi {
+			ra.hi = p.within + p.size
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+
+	var reads, writes []PhysIO
+	for _, rowIdx := range order {
+		ra := rows[rowIdx]
+		pd := g.parityDisk(ra.row)
+		fullStripe := ra.bytes == dd*g.StripeUnit
+		for _, p := range ra.pieces {
+			disk, row := g.stripLocation(p.strip)
+			phys := row*g.StripeUnit + p.within
+			if !fullStripe {
+				reads = append(reads, PhysIO{Disk: disk, Offset: phys, Size: p.size, Kind: DataRead})
+			}
+			writes = append(writes, PhysIO{Disk: disk, Offset: phys, Size: p.size, Write: true, Kind: DataWrite})
+		}
+		parityOff := ra.row*g.StripeUnit + ra.lo
+		paritySize := ra.hi - ra.lo
+		if fullStripe {
+			parityOff = ra.row * g.StripeUnit
+			paritySize = g.StripeUnit
+		} else {
+			reads = append(reads, PhysIO{Disk: pd, Offset: parityOff, Size: paritySize, Kind: ParityRead})
+		}
+		writes = append(writes, PhysIO{Disk: pd, Offset: parityOff, Size: paritySize, Write: true, Kind: ParityWrite})
+	}
+	return append(coalescePhys(reads), coalescePhys(writes)...)
+}
+
+// phases splits a Map result into its pre-read and write phases.
+func phases(ios []PhysIO) (reads, writes []PhysIO) {
+	for i, io := range ios {
+		if io.Write {
+			return ios[:i], ios[i:]
+		}
+	}
+	return ios, nil
+}
+
+// Property: AppendMap reproduces the reference mapper operation for
+// operation, across levels, disk counts 3-8, stripe units, multi-row
+// offsets and sizes, and reads and writes. A non-empty dst prefix comes
+// back untouched: the prefix ends in an op that the first appended op
+// would extend if coalescing looked across the boundary.
+func TestAppendMapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	units := []int64{512, 4096, 64 << 10}
+	cases := 0
+	for disks := 3; disks <= 8; disks++ {
+		for _, level := range []Level{RAID0, RAID5, RAID1} {
+			if level == RAID1 && disks%2 != 0 {
+				continue
+			}
+			for _, su := range units {
+				g := Geometry{Level: level, Disks: disks, StripeUnit: su}
+				rowBytes := int64(g.dataDisks()) * su
+				for iter := 0; iter < 60; iter++ {
+					// Aligned and unaligned starts, sizes from one byte to
+					// several rows, offsets deep into the volume.
+					off := int64(rng.Intn(40)) * rowBytes
+					switch rng.Intn(3) {
+					case 1:
+						off += int64(rng.Intn(int(rowBytes)))
+					case 2:
+						off += int64(rng.Intn(int(rowBytes/su))) * su
+					}
+					var size int64
+					switch rng.Intn(3) {
+					case 0:
+						size = 1 + int64(rng.Intn(int(su)))
+					case 1:
+						size = rowBytes * int64(1+rng.Intn(3))
+					default:
+						size = 1 + int64(rng.Intn(int(4*rowBytes)))
+					}
+					write := rng.Intn(2) == 0
+					want := g.refMap(off, size, write)
+					if got := g.AppendMap(nil, off, size, write); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v AppendMap(nil,%d,%d,%v)\n got %+v\nwant %+v", g, off, size, write, got, want)
+					}
+					// A prefix whose last op is contiguous with, and of the
+					// same kind as, the first appended op.
+					first := want[0]
+					prefix := []PhysIO{
+						{Disk: (first.Disk + 1) % disks, Offset: 7, Size: 3, Kind: ParityWrite, Write: true},
+						{Disk: first.Disk, Offset: first.Offset - 1, Size: 1, Kind: first.Kind, Write: first.Write},
+					}
+					if first.Offset == 0 {
+						prefix[1].Offset, prefix[1].Size = 0, 0
+					}
+					saved := append([]PhysIO(nil), prefix...)
+					dst := make([]PhysIO, len(prefix), len(prefix)+len(want)+4)
+					copy(dst, prefix)
+					got := g.AppendMap(dst, off, size, write)
+					if !reflect.DeepEqual(got[:len(prefix)], saved) {
+						t.Fatalf("%+v AppendMap(%d,%d,%v) touched the prefix: %+v, want %+v", g, off, size, write, got[:len(prefix)], saved)
+					}
+					if !reflect.DeepEqual(got[len(prefix):], want) {
+						t.Fatalf("%+v AppendMap(prefix,%d,%d,%v)\n got %+v\nwant %+v", g, off, size, write, got[len(prefix):], want)
+					}
+					cases++
+				}
+			}
+		}
+	}
+	if cases < 1000 {
+		t.Fatalf("only %d cases exercised", cases)
+	}
+}
+
+// AppendMap into a slice with room for the result allocates nothing, for
+// reads and for RAID-0/1/5 writes.
+func TestAppendMapAllocatesNothing(t *testing.T) {
+	for _, g := range []Geometry{{RAID0, 4, 64 << 10}, {RAID1, 4, 64 << 10}, {RAID5, 4, 64 << 10}} {
+		for _, write := range []bool{false, true} {
+			dst := make([]PhysIO, 0, 64)
+			var off int64
+			allocs := testing.AllocsPerRun(200, func() {
+				off = (off + 12288) % (64 << 20)
+				dst = g.AppendMap(dst[:0], off, 8192, write)
+				dst = g.AppendMap(dst, off+(1<<20), 400<<10, write)
+			})
+			if allocs != 0 {
+				t.Errorf("%v write=%v: %v allocs per AppendMap pair, want 0", g.Level, write, allocs)
+			}
+		}
+	}
+}
 
 func TestValidate(t *testing.T) {
 	good := []Geometry{
@@ -119,7 +347,7 @@ func TestRAID5SmallWriteIsReadModifyWrite(t *testing.T) {
 			t.Errorf("kind %v count = %d, want 1", k, counts[k])
 		}
 	}
-	reads, writes := Phases(ios)
+	reads, writes := phases(ios)
 	if len(reads) != 2 || len(writes) != 2 {
 		t.Errorf("phases %d/%d, want 2/2", len(reads), len(writes))
 	}
@@ -162,7 +390,7 @@ func TestRAID5MultiRowWrite(t *testing.T) {
 	g := Geometry{RAID5, 4, 1000}
 	// 3 data strips per row; write 1.5 rows starting at row boundary.
 	ios := g.Map(0, 4500, true)
-	reads, writes := Phases(ios)
+	reads, writes := phases(ios)
 	// Row 0 full (3 data writes + parity write, no reads); row 1 partial
 	// (strip reads+writes + parity read+write). Disk 0's row-0 and row-1
 	// data writes are physically contiguous and coalesce into one op.
@@ -176,7 +404,7 @@ func TestRAID5MultiRowWrite(t *testing.T) {
 
 func TestPhasesNoWrites(t *testing.T) {
 	g := Geometry{RAID5, 4, 1000}
-	reads, writes := Phases(g.Map(0, 3000, false))
+	reads, writes := phases(g.Map(0, 3000, false))
 	if len(writes) != 0 || len(reads) != 3 {
 		t.Errorf("read mapping phases %d/%d", len(reads), len(writes))
 	}
@@ -307,7 +535,7 @@ func TestNoSameDiskOverlapWithinPhase(t *testing.T) {
 		size := int64(1 + rng.Intn(30000))
 		write := rng.Intn(2) == 0
 		if g.Level == RAID5 && write {
-			reads, writes := Phases(g.Map(off, size, true))
+			reads, writes := phases(g.Map(off, size, true))
 			check(g, reads)
 			check(g, writes)
 			continue
@@ -350,16 +578,18 @@ func TestCoalescePreservesBytesProperty(t *testing.T) {
 
 func BenchmarkRAID5MapSmallWrite(b *testing.B) {
 	g := Geometry{RAID5, 5, 64 << 10}
+	var dst []PhysIO
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Map(int64(i)*8192, 8192, true)
+		dst = g.AppendMap(dst[:0], int64(i)*8192, 8192, true)
 	}
 }
 
 func BenchmarkRAID5MapLargeSequential(b *testing.B) {
 	g := Geometry{RAID5, 5, 64 << 10}
+	var dst []PhysIO
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Map(int64(i%16)<<20, 1<<20, false)
+		dst = g.AppendMap(dst[:0], int64(i%16)<<20, 1<<20, false)
 	}
 }

@@ -410,102 +410,12 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 		cfg.Invariants.Attach(engine, arr, ctrlCache, cfg.Metrics)
 	}
 
-	destage := func(ranges []cache.Range) {
-		for _, rg := range ranges {
-			off, size := clampRange(rg.Off, rg.Size, arr.LogicalBytes())
-			if size <= 0 {
-				continue
-			}
-			arr.SubmitBackground(off, size, true, nil)
-		}
+	loop := &arrivals{
+		engine: engine, cfg: &cfg, arr: arr, cache: ctrlCache, res: res,
+		source: workload, duration: duration, router: router, arrivalObs: arrivalObs,
+		recordResponse: recordResponse,
 	}
-
-	process := func(r trace.Request) {
-		// record is recordResponse bound to this request, so every
-		// completion path below also feeds the per-request hook when one
-		// is armed. With a nil hook the wrapper reduces to the exact
-		// legacy call and the run is byte-identical.
-		record := func(lat float64) {
-			recordResponse(lat, r.Write)
-			if cfg.OnResponse != nil {
-				cfg.OnResponse(r, lat)
-			}
-		}
-		if sampler != nil {
-			sampler.onArrival(engine.Now())
-		}
-		if arrivalObs != nil {
-			arrivalObs.OnArrival(r)
-		}
-		if router != nil {
-			start := engine.Now()
-			if router.Route(r, func() {
-				record(engine.Now() - start)
-			}) {
-				return
-			}
-		}
-		if ctrlCache == nil {
-			arr.Submit(r.Off, r.Size, r.Write, func(lat float64) {
-				record(lat)
-			})
-			return
-		}
-		if r.Write {
-			// Write-back: absorbed at cache speed; evictions destage in
-			// the background.
-			destage(ctrlCache.Write(r.Off, r.Size))
-			res.CacheHits++
-			engine.Schedule(CacheHitLatency, func() {
-				record(CacheHitLatency)
-			})
-			return
-		}
-		misses, evictions := ctrlCache.Read(r.Off, r.Size)
-		destage(evictions)
-		if len(misses) == 0 {
-			res.CacheHits++
-			engine.Schedule(CacheHitLatency, func() {
-				record(CacheHitLatency)
-			})
-			return
-		}
-		start := engine.Now()
-		remaining := len(misses)
-		for _, m := range misses {
-			off, size := clampRange(m.Off, m.Size, arr.LogicalBytes())
-			if size <= 0 {
-				remaining--
-				continue
-			}
-			arr.Submit(off, size, false, func(float64) {
-				remaining--
-				if remaining == 0 {
-					record(engine.Now() - start + CacheHitLatency)
-				}
-			})
-		}
-		if remaining == 0 { // whole request clamped away (volume edge)
-			record(CacheHitLatency)
-		}
-	}
-
-	// Arrival pump: schedule each request lazily at its timestamp.
-	var pump func()
-	pump = func() {
-		r, ok := workload.Next()
-		if !ok || r.Time > duration {
-			return
-		}
-		at := r.Time
-		if at < engine.Now() {
-			at = engine.Now()
-		}
-		engine.At(at, func() {
-			process(r)
-			pump()
-		})
-	}
+	loop.arriveFn = loop.arrive
 
 	ctrl.Init(env)
 
@@ -529,7 +439,7 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 	// Periodic destage of aged dirty blocks.
 	if ctrlCache != nil {
 		simevent.NewTicker(engine, cfg.DestagePeriod, func(float64) {
-			destage(ctrlCache.FlushOldest(cfg.DestageMax))
+			loop.destage(ctrlCache.FlushOldest(cfg.DestageMax))
 		})
 	}
 	// Time-series sampling.
@@ -554,6 +464,7 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 	// one per ObsSampleEvery. Unobserved runs schedule nothing here.
 	if cfg.Metrics != nil {
 		sampler = newObsSampler(&cfg, env, arr, engine, parts, ctrlCache)
+		loop.sampler = sampler
 		engine.Schedule(0, func() { sampler.sample(engine.Now()) })
 		simevent.NewTicker(engine, cfg.ObsSampleEvery, func(now float64) {
 			sampler.sample(now)
@@ -604,7 +515,7 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 		defer wd.halt()
 	}
 
-	pump()
+	loop.pump()
 	if cfg.Progress != nil {
 		defer func() {
 			processed := engine.Processed()

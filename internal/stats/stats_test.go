@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -428,4 +429,50 @@ func TestStateAccountLumpValidation(t *testing.T) {
 		}
 	}()
 	a.AddEnergy("s", -1)
+}
+
+// The reported key sets follow what happened to each state: a state
+// appears in DurationByState once time was integrated in it, and in
+// EnergyByState once time was integrated in it or a lump was charged to
+// it. The state an account starts in appears only after its first
+// accrual.
+func TestStateAccountKeySets(t *testing.T) {
+	a := NewStateAccount(0, "idle", 10)
+	if n := len(a.EnergyByState()) + len(a.DurationByState()); n != 0 {
+		t.Fatalf("fresh account reports %d keys, want 0", n)
+	}
+	a.AddEnergy("shift", 4)
+	a.Transition(0, "active", 13) // zero-length idle interval still counts
+	a.Transition(2, "idle", 10)
+	if got, want := a.EnergyByState(), map[string]float64{"idle": 0, "active": 26, "shift": 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("EnergyByState = %v, want %v", got, want)
+	}
+	if got, want := a.DurationByState(), map[string]float64{"idle": 0, "active": 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("DurationByState = %v, want %v", got, want)
+	}
+	if a.Entries("shift") != 0 || a.Entries("nowhere") != 0 || a.Entries("idle") != 2 {
+		t.Errorf("entries shift=%d nowhere=%d idle=%d, want 0,0,2",
+			a.Entries("shift"), a.Entries("nowhere"), a.Entries("idle"))
+	}
+	if a.State() != "idle" {
+		t.Errorf("State = %q, want idle", a.State())
+	}
+}
+
+// Once every state has been seen, a transition allocates nothing.
+func TestStateAccountTransitionAllocatesNothing(t *testing.T) {
+	a := NewStateAccount(0, "idle", 10)
+	states := []string{"active", "shift", "spinup", "standby", "spindown", "idle"}
+	now := 0.0
+	step := func() {
+		for _, s := range states {
+			now++
+			a.Transition(now, s, 7)
+		}
+		a.AddEnergy("shift", 1)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("%v allocs per transition cycle, want 0", allocs)
+	}
 }

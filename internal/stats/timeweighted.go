@@ -5,36 +5,57 @@ import "fmt"
 // StateAccount integrates time (and, with a power assignment, energy)
 // across a set of named states. The disk model uses one per disk: each
 // state change closes the previous interval at the current power draw.
+// Totals live in a small slot table indexed by first appearance of the
+// state name, so the per-transition path hashes nothing and allocates
+// nothing once every state has been seen.
 type StateAccount struct {
 	last      float64 // time of the last transition
-	state     string
-	power     float64            // watts drawn in the current state
-	duration  map[string]float64 // seconds per state name
-	energy    map[string]float64 // joules per state name
-	switches  map[string]uint64  // entry count per state name
+	cur       int     // slot of the current state
+	power     float64 // watts drawn in the current state
+	slots     []stateSlot
 	totEnergy float64
+}
+
+// stateSlot holds one named state's totals. A state is reported by
+// DurationByState once time has been integrated in it, and by
+// EnergyByState once time has been integrated in it or a lump of energy
+// has been charged to it.
+type stateSlot struct {
+	name     string
+	duration float64 // seconds
+	energy   float64 // joules
+	entries  uint64
+	accrued  bool
+	charged  bool
 }
 
 // NewStateAccount starts accounting at time t0 in the given state drawing
 // `power` watts.
 func NewStateAccount(t0 float64, state string, power float64) *StateAccount {
-	return &StateAccount{
-		last:     t0,
-		state:    state,
-		power:    power,
-		duration: map[string]float64{},
-		energy:   map[string]float64{},
-		switches: map[string]uint64{state: 1},
+	a := &StateAccount{last: t0, power: power, slots: make([]stateSlot, 0, 8)}
+	a.cur = a.slot(state)
+	a.slots[a.cur].entries = 1
+	return a
+}
+
+// slot returns the index of the named state, adding it on first use.
+func (a *StateAccount) slot(state string) int {
+	for i := range a.slots {
+		if a.slots[i].name == state {
+			return i
+		}
 	}
+	a.slots = append(a.slots, stateSlot{name: state})
+	return len(a.slots) - 1
 }
 
 // Transition closes the current interval at time t and enters a new state
 // with a new power draw. t must be >= the previous transition time.
 func (a *StateAccount) Transition(t float64, state string, power float64) {
 	a.accrue(t)
-	a.state = state
+	a.cur = a.slot(state)
 	a.power = power
-	a.switches[state]++
+	a.slots[a.cur].entries++
 }
 
 // SetPower changes the power draw without changing the named state (e.g. a
@@ -49,9 +70,11 @@ func (a *StateAccount) accrue(t float64) {
 		panic(fmt.Sprintf("stats: state account time went backwards: %v < %v", t, a.last))
 	}
 	dt := t - a.last
-	a.duration[a.state] += dt
+	s := &a.slots[a.cur]
+	s.duration += dt
 	e := a.power * dt
-	a.energy[a.state] += e
+	s.energy += e
+	s.accrued = true
 	a.totEnergy += e
 	a.last = t
 }
@@ -63,7 +86,9 @@ func (a *StateAccount) AddEnergy(state string, joules float64) {
 	if joules < 0 {
 		panic(fmt.Sprintf("stats: negative lump energy %v", joules))
 	}
-	a.energy[state] += joules
+	s := &a.slots[a.slot(state)]
+	s.energy += joules
+	s.charged = true
 	a.totEnergy += joules
 }
 
@@ -86,7 +111,7 @@ func (a *StateAccount) EnergyAt(t float64) float64 {
 func (a *StateAccount) LastAccrual() float64 { return a.last }
 
 // State returns the current state name.
-func (a *StateAccount) State() string { return a.state }
+func (a *StateAccount) State() string { return a.slots[a.cur].name }
 
 // Power returns the current power draw in watts.
 func (a *StateAccount) Power() float64 { return a.power }
@@ -95,23 +120,34 @@ func (a *StateAccount) Power() float64 { return a.power }
 // interval; call Close first for end-of-run totals).
 func (a *StateAccount) TotalEnergy() float64 { return a.totEnergy }
 
-// EnergyByState returns a copy of the joules-per-state map.
+// EnergyByState returns the joules per state name, as a fresh map.
 func (a *StateAccount) EnergyByState() map[string]float64 {
-	out := make(map[string]float64, len(a.energy))
-	for k, v := range a.energy {
-		out[k] = v
+	out := make(map[string]float64, len(a.slots))
+	for _, s := range a.slots {
+		if s.accrued || s.charged {
+			out[s.name] = s.energy
+		}
 	}
 	return out
 }
 
-// DurationByState returns a copy of the seconds-per-state map.
+// DurationByState returns the seconds per state name, as a fresh map.
 func (a *StateAccount) DurationByState() map[string]float64 {
-	out := make(map[string]float64, len(a.duration))
-	for k, v := range a.duration {
-		out[k] = v
+	out := make(map[string]float64, len(a.slots))
+	for _, s := range a.slots {
+		if s.accrued {
+			out[s.name] = s.duration
+		}
 	}
 	return out
 }
 
 // Entries returns how many times the named state was entered.
-func (a *StateAccount) Entries(state string) uint64 { return a.switches[state] }
+func (a *StateAccount) Entries(state string) uint64 {
+	for _, s := range a.slots {
+		if s.name == state {
+			return s.entries
+		}
+	}
+	return 0
+}
