@@ -135,14 +135,15 @@ type Array struct {
 	inFlight  int
 	fanoutIOs uint64 // physical ops from logical traffic (excl. migration)
 
-	migrations     uint64
-	migratedBytes  uint64
-	migrating      map[int]bool
-	lostIOs        uint64
-	diskFailures   uint64
-	rebuilds       uint64
-	faultStats     FaultStats
-	extentAccesses []uint64 // lifetime per-extent access counts
+	migrations         uint64
+	migratedBytes      uint64
+	migrating          []bool // per extent: a move is in flight
+	inFlightMigrations int
+	lostIOs            uint64
+	diskFailures       uint64
+	rebuilds           uint64
+	faultStats         FaultStats
+	extentAccesses     []uint64 // lifetime per-extent access counts
 
 	// onComplete, if set, observes every finished logical request.
 	onComplete func(latency float64, write bool)
@@ -150,10 +151,11 @@ type Array struct {
 	// auditor, if set, receives accounting events (see audit.go).
 	auditor Auditor
 
-	// Free lists of the pooled physical-op and fan-out records (see
-	// retry.go and io.go).
-	freeOps     *physOp
-	freeFanOuts *fanOut
+	// Free lists of the pooled physical-op, fan-out and migration records
+	// (see retry.go, io.go and migrate.go).
+	freeOps        *physOp
+	freeFanOuts    *fanOut
+	freeMigrations *migration
 }
 
 // New builds the array with extents laid out round-robin across groups
@@ -213,6 +215,7 @@ func New(cfg Config) (*Array, error) {
 	}
 	a.extentMap = make([]Location, a.numExtent)
 	a.extentAccesses = make([]uint64, a.numExtent)
+	a.migrating = make([]bool, a.numExtent)
 	// Round-robin placement across groups, ascending slots within a group.
 	next := make([]int64, len(a.groups))
 	gi := 0
@@ -347,7 +350,7 @@ func (a *Array) Migrations() (count, bytes uint64) { return a.migrations, a.migr
 
 // InFlightMigrations returns how many extents are mid-move right now (a
 // swap holds both of its extents in the set until it completes).
-func (a *Array) InFlightMigrations() int { return len(a.migrating) }
+func (a *Array) InFlightMigrations() int { return a.inFlightMigrations }
 
 // FanoutIOs returns the number of physical disk operations generated by
 // logical traffic (foreground and destage), excluding migration I/O.
@@ -389,17 +392,10 @@ func (a *Array) LayoutFingerprint() uint64 {
 	for _, g := range a.groups {
 		h = mix(h, uint64(g.used))
 	}
-	migrating := make([]int, 0, len(a.migrating))
-	for e := range a.migrating {
-		migrating = append(migrating, e)
-	}
-	for i := 1; i < len(migrating); i++ { // insertion sort: the set is tiny
-		for j := i; j > 0 && migrating[j] < migrating[j-1]; j-- {
-			migrating[j], migrating[j-1] = migrating[j-1], migrating[j]
+	for e, on := range a.migrating {
+		if on {
+			h = mix(h, uint64(e))
 		}
-	}
-	for _, e := range migrating {
-		h = mix(h, uint64(e))
 	}
 	return h
 }

@@ -212,3 +212,85 @@ func TestFanOutFilesReadsAheadOfWrites(t *testing.T) {
 			f.reads, len(f.ios), len(reads), len(wantIOs), f.ios, wantIOs)
 	}
 }
+
+// Steady-state migration chunks allocate nothing: the move or swap record
+// is pooled and its phase callbacks are bound once, so a whole move of 16
+// chunks and a whole swap of 16 chunks run on pooled records alone.
+func TestSteadyStateMigrationAllocatesNothing(t *testing.T) {
+	e := simevent.New()
+	spec := diskmodel.MultiSpeedUltrastar(1, 0)
+	a, err := New(Config{
+		Engine: e, Spec: &spec, Groups: 3, GroupDisks: 4,
+		Level: raid.RAID5, ExtentBytes: 16 * migrationChunk, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		to := (a.ExtentLocation(0).Group + 1) % len(a.Groups())
+		if err := a.MigrateExtent(0, to, true, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SwapExtents(1, 2, true, nil); err != nil {
+			t.Fatal(err)
+		}
+		e.RunAll()
+	}
+	for i := 0; i < 5; i++ {
+		cycle() // grow the pools to their working size
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("%v allocs per move and swap of 16 chunks each, want 0", allocs)
+	}
+	if n := a.InFlightMigrations(); n != 0 {
+		t.Fatalf("%d migrations still in flight", n)
+	}
+}
+
+// A migration's done callback may start the next migration at once, on
+// the record the finished one just returned to the pool.
+func TestMigrationDoneStartsNext(t *testing.T) {
+	e := simevent.New()
+	spec := diskmodel.MultiSpeedUltrastar(1, 0)
+	a, err := New(Config{
+		Engine: e, Spec: &spec, Groups: 3, GroupDisks: 2,
+		Level: raid.RAID1, ExtentBytes: 3*migrationChunk + 4096, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, l1, l2 := a.ExtentLocation(0), a.ExtentLocation(1), a.ExtentLocation(2)
+	var order []string
+	err = a.MigrateExtent(0, l1.Group, true, func() {
+		order = append(order, "move")
+		if got := a.InFlightMigrations(); got != 0 {
+			t.Errorf("%d migrations in flight after the move", got)
+		}
+		if err := a.SwapExtents(1, 2, false, func() { order = append(order, "swap") }); err != nil {
+			t.Error(err)
+		}
+		if !a.Migrating(1) || !a.Migrating(2) || a.Migrating(0) || a.InFlightMigrations() != 2 {
+			t.Errorf("swap not marked in flight: %v %v %v, %d",
+				a.Migrating(0), a.Migrating(1), a.Migrating(2), a.InFlightMigrations())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RunAll()
+	if !reflect.DeepEqual(order, []string{"move", "swap"}) {
+		t.Fatalf("completions %v", order)
+	}
+	if got := a.ExtentLocation(0).Group; got != l1.Group || got == l0.Group {
+		t.Fatalf("extent 0 in group %d, want %d", got, l1.Group)
+	}
+	if a.ExtentLocation(1) != l2 || a.ExtentLocation(2) != l1 {
+		t.Fatalf("swap left %v %v, want %v %v", a.ExtentLocation(1), a.ExtentLocation(2), l2, l1)
+	}
+	if n, bytes := a.Migrations(); n != 3 || bytes != 3*uint64(a.ExtentBytes()) {
+		t.Fatalf("migrations %d (%d bytes), want 3", n, bytes)
+	}
+	if a.InFlightMigrations() != 0 || a.Migrating(1) || a.Migrating(2) {
+		t.Fatal("migration flags stuck")
+	}
+}

@@ -79,14 +79,25 @@ type CRPlan struct {
 	Evaluated int
 }
 
-// Solve enumerates the compositions of the group count over the speed
-// levels (fast levels assigned to hot group-ranks first), evaluates each
-// with the M/G/1 model, and returns the minimum-energy feasible plan.
+// Solve returns the minimum-energy feasible plan over every composition
+// of the group count into the speed levels (fast levels assigned to hot
+// group-ranks first), each evaluated with the M/G/1 model.
 //
-// With G groups and m levels the composition count is C(G+m-1, m-1); for
-// the arrays the paper studies (a few tens of disks, 2–5 levels) this is
-// a few thousand evaluations per epoch — the point of coarse-grained
-// control is that this runs once every couple of hours.
+// With G groups and m levels there are C(G+m-1, m-1) compositions, and
+// the plan is exactly the one a plain enumeration of all of them returns
+// (see DESIGN.md, "Exact CR search"), down to the float bits of its
+// predictions. The search gets there without visiting most of them:
+//
+//   - each rank's model terms at each level are computed once, G*m model
+//     evaluations instead of G per composition;
+//   - ranks are walked depth-first with nonincreasing levels, so
+//     compositions sharing a rank prefix share its partial sums;
+//   - every term is nonnegative, so a prefix whose partial energy already
+//     exceeds the best plan's, or whose partial response already breaks
+//     the goal, is cut with everything below it.
+//
+// Evaluated still reports the composition count C(G+m-1, m-1): the
+// compositions the search considers, cut or not.
 func Solve(in CRInput) CRPlan {
 	g := len(in.GroupLoads)
 	if g == 0 || len(in.CurrentLevels) != g {
@@ -132,36 +143,31 @@ func Solve(in CRInput) CRPlan {
 		totalLoad += load
 	}
 
-	best := CRPlan{Levels: allFull(g, full), Feasible: false}
-	bestEnergy := math.Inf(1)
-
-	evalCount := 0
-	// levels[g] built by walking compositions: counts[l] groups at level
-	// l, assigned fastest-first.
-	counts := make([]int, m)
-	var walk func(level, remaining int)
-	assign := make([]int, g)
-	var evaluate func()
-	evaluate = func() {
-		evalCount++
-		// Expand counts into per-rank levels, fastest level first.
-		idx := 0
-		for l := full; l >= 0; l-- {
-			for c := 0; c < counts[l]; c++ {
-				assign[idx] = l
-				idx++
-			}
-		}
-		var energy, respWeighted float64
-		for i := 0; i < g; i++ {
-			l := assign[i]
-			lambda := perDisk[i]
+	s := crSearch{
+		m:          m,
+		terms:      make([]crTerm, g*m),
+		assign:     make([]int, g),
+		counts:     make([]int, m),
+		bestCounts: make([]int, m),
+		bestEnergy: math.Inf(1),
+		best:       CRPlan{Levels: allFull(g, full)},
+		totalLoad:  totalLoad,
+		limit:      math.Inf(1),
+	}
+	if in.Goal > 0 && totalLoad > 0 {
+		s.limit = in.Goal * in.Margin
+	}
+	for i := 0; i < g; i++ {
+		lambda := perDisk[i]
+		for l := 0; l < m; l++ {
+			t := &s.terms[i*m+l]
 			rho := mg1.Utilization(lambda, es[l])
 			if rho >= in.MaxRho {
-				return // infeasible
+				continue // infeasible: t.ok stays false
 			}
+			t.ok = true
 			r := mg1.ResponseTime(lambda, es[l], es2[l])
-			respWeighted += in.GroupLoads[i] * r
+			t.r1 = in.GroupLoads[i] * r
 			// A speed shift stalls the group's queue for its duration.
 			// Requests arriving during a stall of length T wait T/2 on
 			// average, so the epoch-mean penalty is T^2/(2*epoch): the
@@ -170,41 +176,16 @@ func Solve(in CRInput) CRPlan {
 			// drained a group, so the steady-state occupants' load is the
 			// right weight.)
 			shiftT, shiftJ := spec.LevelShift(in.CurrentLevels[i], l)
-			respWeighted += in.GroupLoads[i] * shiftT * shiftT / (2 * in.Epoch)
+			t.r2 = in.GroupLoads[i] * shiftT * shiftT / (2 * in.Epoch)
 			power := spec.IdlePower[l]*(1-rho) + spec.ActivePower[l]*rho
-			energy += power * in.Epoch * float64(in.DisksPerGroup)
-			energy += shiftJ * float64(in.DisksPerGroup)
-		}
-		var resp float64
-		if totalLoad > 0 {
-			resp = respWeighted / totalLoad
-		}
-		if in.Goal > 0 && resp > in.Goal*in.Margin {
-			return
-		}
-		if energy < bestEnergy {
-			bestEnergy = energy
-			best.Levels = append(best.Levels[:0], assign...)
-			best.PredictedResp = resp
-			best.PredictedEnergy = energy
-			best.Feasible = true
+			t.e1 = power * in.Epoch * float64(in.DisksPerGroup)
+			t.e2 = shiftJ * float64(in.DisksPerGroup)
 		}
 	}
-	walk = func(level, remaining int) {
-		if level == m-1 {
-			counts[level] = remaining
-			evaluate()
-			counts[level] = 0
-			return
-		}
-		for c := 0; c <= remaining; c++ {
-			counts[level] = c
-			walk(level+1, remaining-c)
-		}
-		counts[level] = 0
-	}
-	walk(0, g)
-	best.Evaluated = evalCount
+	s.walk(0, full, 0, 0)
+
+	best := s.best
+	best.Evaluated = compositions(g, m)
 	if !best.Feasible {
 		// Fall back to all-full-speed and report its predictions.
 		var energy, respWeighted float64
@@ -221,6 +202,93 @@ func Solve(in CRInput) CRPlan {
 		best.PredictedEnergy = energy
 	}
 	return best
+}
+
+// crTerm is one rank's contribution at one level: the two response
+// addends and the two energy addends a composition's sums take from it,
+// in the order they are added. ok is false when the level drives the
+// rank's disks to MaxRho or beyond.
+type crTerm struct {
+	r1, r2, e1, e2 float64
+	ok             bool
+}
+
+// crSearch is Solve's depth-first walk over rank prefixes.
+type crSearch struct {
+	m      int
+	terms  []crTerm // terms[i*m+l]: rank i at level l
+	assign []int    // the current prefix's level per rank
+	counts []int    // the current prefix's ranks per level
+
+	best       CRPlan
+	bestEnergy float64
+	bestCounts []int
+
+	totalLoad float64
+	limit     float64 // Goal*Margin; +Inf without a goal or load to weigh it
+}
+
+// walk extends the prefix of ranks [0,i), whose sums are resp and energy,
+// with each level up to hi for rank i, slowest first. The sums grow in
+// exactly the order a whole composition's would, so a prefix's sums are
+// bit for bit those of every composition it starts.
+func (s *crSearch) walk(i, hi int, resp, energy float64) {
+	last := i == len(s.assign)-1
+	row := s.terms[i*s.m : i*s.m+hi+1]
+	for l := range row {
+		t := &row[l]
+		if !t.ok {
+			continue
+		}
+		r := resp + t.r1
+		r += t.r2
+		e := energy + t.e1
+		e += t.e2
+		// Terms are nonnegative, so neither sum can fall below a
+		// prefix's: a strictly costlier or too-slow prefix stays so. A
+		// prefix equal to the best may still win the tie-break.
+		if e > s.bestEnergy || r/s.totalLoad > s.limit {
+			continue
+		}
+		s.assign[i] = l
+		s.counts[l]++
+		if !last {
+			s.walk(i+1, l, r, e)
+		} else if e < s.bestEnergy || (s.best.Feasible && e == s.bestEnergy && s.countsBeforeBest()) {
+			s.bestEnergy = e
+			copy(s.bestCounts, s.counts)
+			s.best.Levels = append(s.best.Levels[:0], s.assign...)
+			s.best.PredictedResp = 0
+			if s.totalLoad > 0 {
+				s.best.PredictedResp = r / s.totalLoad
+			}
+			s.best.PredictedEnergy = e
+			s.best.Feasible = true
+		}
+		s.counts[l]--
+	}
+}
+
+// countsBeforeBest reports whether the current composition comes before
+// the best one in enumeration order (counts ascending lexicographically
+// from the slowest level), the order whose first minimum Solve returns.
+func (s *crSearch) countsBeforeBest() bool {
+	for l, c := range s.counts {
+		if c != s.bestCounts[l] {
+			return c < s.bestCounts[l]
+		}
+	}
+	return false
+}
+
+// compositions returns C(g+m-1, m-1), the number of ways to spread g
+// groups over m levels.
+func compositions(g, m int) int {
+	n := 1
+	for k := 1; k < m; k++ {
+		n = n * (g + k) / k
+	}
+	return n
 }
 
 func allFull(g, full int) []int {

@@ -41,6 +41,8 @@ type MAID struct {
 	dirtyElem  map[int64]*list.Element
 	free       []slotRef
 
+	freeIOs *maidIO // pool of cache-disk I/O records
+
 	hits, misses uint64
 }
 
@@ -130,30 +132,14 @@ func (m *MAID) Route(r trace.Request, finish func()) bool {
 	c1 := (r.Off + r.Size - 1) / m.ChunkBytes
 	if r.Write {
 		// Absorb the write on cache disks.
-		remaining := 0
-		type span struct {
-			ref       slotRef
-			off, size int64
-		}
-		var spans []span
+		io := m.newIO(finish)
 		for c := c0; c <= c1; c++ {
 			ref := m.ensure(c)
 			m.markDirty(c)
 			lo, hi := m.overlap(r, c)
-			spans = append(spans, span{ref, ref.slot*m.ChunkBytes + lo, hi - lo})
-			remaining++
+			io.add(ref, lo, hi-lo, true, false)
 		}
-		for _, sp := range spans {
-			m.spares[sp.ref.spare].Submit(&diskmodel.Request{
-				LBA: sp.off, Size: sp.size, Write: true,
-				Done: func(_ *diskmodel.Request, _ float64) {
-					remaining--
-					if remaining == 0 {
-						finish()
-					}
-				},
-			})
-		}
+		io.submit()
 		return true
 	}
 	// Read: serve only if every chunk is cached.
@@ -165,32 +151,83 @@ func (m *MAID) Route(r trace.Request, finish func()) bool {
 		}
 	}
 	m.hits++
-	remaining := 0
-	type span struct {
-		ref       slotRef
-		off, size int64
-	}
-	var spans []span
+	io := m.newIO(finish)
 	for c := c0; c <= c1; c++ {
 		el := m.entries[c]
 		m.lru.MoveToFront(el)
 		ref := m.where[c]
 		lo, hi := m.overlap(r, c)
-		spans = append(spans, span{ref, ref.slot*m.ChunkBytes + lo, hi - lo})
-		remaining++
+		io.add(ref, lo, hi-lo, false, false)
 	}
-	for _, sp := range spans {
-		m.spares[sp.ref.spare].Submit(&diskmodel.Request{
-			LBA: sp.off, Size: sp.size,
-			Done: func(_ *diskmodel.Request, _ float64) {
-				remaining--
-				if remaining == 0 {
-					finish()
-				}
-			},
-		})
-	}
+	io.submit()
 	return true
+}
+
+// maidIO is a batch of cache-disk operations in flight: a routed
+// request's spans, or one chunk's copy-in. Records are pooled on the MAID
+// and embed their requests; done is bound once, so a warm pool routes a
+// request without allocating.
+type maidIO struct {
+	m         *MAID
+	ops       []maidOp
+	remaining int
+	finish    func() // called once every op completed; may be nil
+	done      func(*diskmodel.Request, float64)
+	next      *maidIO // free list
+}
+
+// maidOp is one cache-disk request and the spare disk it goes to.
+type maidOp struct {
+	spare int
+	req   diskmodel.Request
+}
+
+// newIO takes a record from the pool.
+func (m *MAID) newIO(finish func()) *maidIO {
+	io := m.freeIOs
+	if io == nil {
+		io = &maidIO{m: m}
+		io.done = io.opDone
+	} else {
+		m.freeIOs = io.next
+		io.next = nil
+	}
+	io.finish = finish
+	return io
+}
+
+// add files a request for size bytes at chunk offset lo of ref's slot.
+func (io *maidIO) add(ref slotRef, lo, size int64, write, background bool) {
+	io.ops = append(io.ops, maidOp{spare: ref.spare, req: diskmodel.Request{
+		LBA: ref.slot*io.m.ChunkBytes + lo, Size: size, Write: write, Background: background,
+		Done: io.done,
+	}})
+}
+
+// submit issues every filed request, in filing order. Disk completions
+// always arrive through the engine, so remaining is set before the first
+// can finish.
+func (io *maidIO) submit() {
+	io.remaining = len(io.ops)
+	for i := range io.ops {
+		io.m.spares[io.ops[i].spare].Submit(&io.ops[i].req)
+	}
+}
+
+// opDone is done: once the last request completes, return the record to
+// the pool and run finish.
+func (io *maidIO) opDone(*diskmodel.Request, float64) {
+	io.remaining--
+	if io.remaining > 0 {
+		return
+	}
+	m, finish := io.m, io.finish
+	io.ops, io.finish = io.ops[:0], nil
+	io.next = m.freeIOs
+	m.freeIOs = io
+	if finish != nil {
+		finish()
+	}
 }
 
 // overlap returns the byte range of r within chunk c, chunk-relative.
@@ -214,11 +251,9 @@ func (m *MAID) copyInLater(c0, c1 int64) {
 		if _, ok := m.entries[c]; ok {
 			continue
 		}
-		ref := m.ensure(c)
-		m.spares[ref.spare].Submit(&diskmodel.Request{
-			LBA: ref.slot * m.ChunkBytes, Size: m.ChunkBytes, Write: true, Background: true,
-			Done: func(_ *diskmodel.Request, _ float64) {},
-		})
+		io := m.newIO(nil)
+		io.add(m.ensure(c), 0, m.ChunkBytes, true, true)
+		io.submit()
 	}
 }
 
